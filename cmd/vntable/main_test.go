@@ -3,9 +3,16 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"minvn/internal/analysis"
+	"minvn/internal/cliflag"
+	"minvn/internal/mc"
+	"minvn/internal/protocols"
+	"minvn/internal/vnassign"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -47,5 +54,23 @@ func TestGolden(t *testing.T) {
 				t.Errorf("output changed; run with -update if intended.\n--- got ---\n%s--- want ---\n%s", stdout.String(), want)
 			}
 		})
+	}
+}
+
+// TestTableIDeadlockCellsAtDefaultBound: the row (6) deadlock needs
+// 301,611 states at the default 3c/2d/2a, so the default -max-states
+// must reach it (a bound of 300,000 once missed it).
+func TestTableIDeadlockCellsAtDefaultBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 300k-state deadlock hunts")
+	}
+	for _, name := range tableI[5].protos {
+		p := protocols.MustLoad(name)
+		a := vnassign.AssignFromAnalysis(analysis.Analyze(p))
+		out, ok, res := runModelCheck(p, a, "deadlock", 3, 2, 2, defaultMaxStates,
+			&cliflag.Telemetry{}, mc.EngineAuto, mc.StoreExact, 1, 0, io.Discard)
+		if !ok || res.Outcome != mc.Deadlock {
+			t.Errorf("%s: %s", name, out)
+		}
 	}
 }

@@ -8,7 +8,8 @@ import (
 // FuzzEncodeDecode pins the codec's two safety properties: Decode
 // never panics on arbitrary bytes, and whenever it accepts an input,
 // re-encoding the decoded state reproduces exactly the consumed
-// prefix (decode ∘ encode = identity on the image of Encode).
+// prefix (decode ∘ encode = identity on the image of Encode). The
+// byte-level QueueOffsets walker must agree with Decode on every input.
 func FuzzEncodeDecode(f *testing.F) {
 	c := Config{NumVNs: 2, Endpoints: 3, GlobalCap: 4, LocalCap: 3}
 
@@ -23,8 +24,16 @@ func FuzzEncodeDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, rest, err := Decode(c, data)
+		// The byte-level walker must accept and reject exactly as Decode.
+		offs, qrest, qerr := QueueOffsets(c, data, nil)
+		if (qerr == nil) != (err == nil) {
+			t.Fatalf("QueueOffsets error %v, Decode error %v", qerr, err)
+		}
 		if err != nil {
 			return // rejected input: the only requirement is "no panic"
+		}
+		if len(qrest) != len(rest) || offs[len(offs)-1] != len(data)-len(rest) {
+			t.Fatalf("QueueOffsets consumed %d bytes, Decode %d", len(data)-len(qrest), len(data)-len(rest))
 		}
 		consumed := data[:len(data)-len(rest)]
 		enc := s.Encode(nil)

@@ -122,13 +122,21 @@ func (s *State) Clone() *State {
 
 // BufferChoices returns the global buffers a message from src to dst
 // may be inserted into: both in unordered mode, exactly one in
-// point-to-point mode.
+// point-to-point mode. The slices are shared: callers must not modify
+// them.
 func (cfg Config) BufferChoices(src, dst uint8) []int {
 	if cfg.PointToPoint {
-		return []int{int(cfg.P2P[src][dst])}
+		return oneBuffer[cfg.P2P[src][dst]]
 	}
-	return []int{0, 1}
+	return bothBuffers
 }
+
+// Read-only results of BufferChoices, shared so that planning a send
+// does not allocate.
+var (
+	bothBuffers = []int{0, 1}
+	oneBuffer   = [2][]int{{0}, {1}}
+)
 
 // CanSend reports whether global buffer buf of vn has room.
 func (s *State) CanSend(cfg Config, vn, buf int) bool {
@@ -272,7 +280,7 @@ func Decode(cfg Config, src []byte) (*State, []byte, error) {
 
 // DecodeInto decodes like Decode but fills dst, reusing its queues'
 // backing arrays — the allocation-free path for scratch states that
-// are decoded over and over (e.g. the canonicalizer's). dst must have
+// are decoded over and over (e.g. the occupancy profiler's). dst must have
 // cfg's shape (NewState or a previous DecodeInto) and must not share
 // queue storage with any other State.
 func DecodeInto(cfg Config, dst *State, src []byte) ([]byte, error) {
@@ -312,6 +320,55 @@ func DecodeInto(cfg Config, dst *State, src []byte) ([]byte, error) {
 		}
 	}
 	return src, nil
+}
+
+// QueueOffsets walks the encoded network state at the head of src
+// without decoding it. It appends to offs the start offset (relative to
+// src) of every queue in encoding order — the 2·NumVNs global queues,
+// then each endpoint's NumVNs local queues — followed by the end offset,
+// and returns the bytes after the network state. It validates exactly
+// as DecodeInto does: a truncated queue or a length beyond capacity is
+// an error.
+func QueueOffsets(cfg Config, src []byte, offs []int) ([]int, []byte, error) {
+	i := 0
+	for q := 0; q < (2+cfg.Endpoints)*cfg.NumVNs; q++ {
+		capacity := cfg.LocalCap
+		if q < 2*cfg.NumVNs {
+			capacity = cfg.GlobalCap
+		}
+		if i >= len(src) {
+			return offs, nil, fmt.Errorf("icn: truncated state: missing queue length")
+		}
+		n := int(src[i])
+		if n > capacity {
+			return offs, src[i:], fmt.Errorf("icn: queue length %d exceeds capacity %d", n, capacity)
+		}
+		if len(src)-i-1 < n*msgBytes {
+			return offs, src[i:], fmt.Errorf("icn: truncated state: queue needs %d bytes, %d left",
+				n*msgBytes, len(src)-i-1)
+		}
+		offs = append(offs, i)
+		i += 1 + n*msgBytes
+	}
+	return append(offs, i), src[i:], nil
+}
+
+// AppendRelabeled appends queues — a run of whole encoded queues, as
+// delimited by QueueOffsets — to dst with every message's Src, Req and
+// Dst endpoint rewritten through ep. The other message bytes and the
+// length bytes are copied unchanged.
+func AppendRelabeled(dst, queues []byte, ep *[256]uint8) []byte {
+	for len(queues) > 0 {
+		n := int(queues[0])
+		dst = append(dst, queues[0])
+		queues = queues[1:]
+		for ; n > 0; n-- {
+			m := queues[:msgBytes]
+			dst = append(dst, m[0], m[1], ep[m[2]], ep[m[3]], ep[m[4]], m[5])
+			queues = queues[msgBytes:]
+		}
+	}
+	return dst
 }
 
 // Format renders in-flight messages using a message-name table.

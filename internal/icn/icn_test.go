@@ -1,6 +1,7 @@
 package icn
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -262,5 +263,61 @@ func TestFormat(t *testing.T) {
 	out := s.Format([]string{"GetS"})
 	if out == "" {
 		t.Fatal("empty format")
+	}
+}
+
+// TestQueueOffsetsAndAppendRelabeled: the walker finds every queue of a
+// populated state, and relabeling the encoded queues matches encoding
+// the state with relabeled messages.
+func TestQueueOffsetsAndAppendRelabeled(t *testing.T) {
+	c := cfg()
+	s := NewState(c)
+	s.Send(0, 0, Message{Name: 1, Addr: 1, Src: 0, Req: 0, Dst: 2, Acks: 3})
+	s.Send(1, 1, Message{Name: 2, Addr: 0, Src: 2, Req: 1, Dst: 1, Acks: -2})
+	s.Send(1, 1, Message{Name: 3, Addr: 1, Src: 1, Req: 1, Dst: 0})
+	s.Deliver(1, 1)
+	enc := s.Encode(nil)
+	offs, rest, err := QueueOffsets(c, append(enc, 9), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rest) != 1 || len(offs) != 2*c.NumVNs+c.Endpoints*c.NumVNs+1 || offs[len(offs)-1] != len(enc) {
+		t.Fatalf("offsets %v, %d bytes left", offs, len(rest))
+	}
+	for q, off := range offs[:len(offs)-1] {
+		if next := off + 1 + int(enc[off])*msgBytes; next != offs[q+1] {
+			t.Fatalf("queue %d: starts at %d with length %d, next queue at %d", q, off, enc[off], offs[q+1])
+		}
+	}
+
+	var ep [256]uint8
+	for i := range ep {
+		ep[i] = uint8(i)
+	}
+	ep[0], ep[1] = 1, 0
+	swap := func(e uint8) uint8 { return ep[e] }
+	want := s.Clone()
+	for _, qs := range want.Local {
+		for _, q := range qs {
+			for i := range q {
+				q[i].Src, q[i].Req, q[i].Dst = swap(q[i].Src), swap(q[i].Req), swap(q[i].Dst)
+			}
+		}
+	}
+	for vn := range want.Global {
+		for _, q := range want.Global[vn] {
+			for i := range q {
+				q[i].Src, q[i].Req, q[i].Dst = swap(q[i].Src), swap(q[i].Req), swap(q[i].Dst)
+			}
+		}
+	}
+	if got := AppendRelabeled(nil, enc, &ep); !bytes.Equal(got, want.Encode(nil)) {
+		t.Fatalf("relabeled\n got  %x\n want %x", got, want.Encode(nil))
+	}
+
+	for _, bad := range [][]byte{enc[:len(enc)-1], {byte(c.GlobalCap + 1)}} {
+		if _, _, err := QueueOffsets(c, bad, nil); err == nil {
+			t.Fatalf("QueueOffsets accepted %x", bad)
+		}
 	}
 }

@@ -28,7 +28,8 @@ func benchSystem(b *testing.B, proto string, caches, dirs, addrs int, noSym bool
 }
 
 // BenchmarkSuccessors measures raw rule-enumeration throughput on a
-// mid-exploration state.
+// mid-exploration state, without and with the per-successor rule
+// labels the telemetry path asks for.
 func BenchmarkSuccessors(b *testing.B) {
 	sys := benchSystem(b, "MSI_nonblocking_cache", 3, 2, 2, false)
 	sc := NewScenario(sys)
@@ -39,21 +40,52 @@ func BenchmarkSuccessors(b *testing.B) {
 		b.Fatal(err)
 	}
 	st := sc.State()
+	b.Run("plain", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sys.Successors(st); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("named", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := sys.SuccessorsNamed(st); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkCanonicalize measures the symmetry-reduction hook on walked
+// states of the paper's 3c/2d/2a system with one VN per message — the
+// states a Class 2 deadlock hunt canonicalizes. (The initial state,
+// where every cache ties, is not representative.)
+func BenchmarkCanonicalize(b *testing.B) {
+	sys := canonSystem(b)
+	states := walkStates(sys, 400)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Successors(st); err != nil {
-			b.Fatal(err)
-		}
+		canonSink = sys.Canonicalize(states[i%len(states)])
 	}
 }
 
-// BenchmarkCanonicalize measures the symmetry-reduction hook.
-func BenchmarkCanonicalize(b *testing.B) {
-	sys := benchSystem(b, "MSI_nonblocking_cache", 3, 2, 2, false)
-	st := sys.Initial()[0]
-	b.ResetTimer()
+var canonSink []byte
+
+// BenchmarkNew measures building a system at the paper's 3c/2d/2a,
+// relabeling tables included: every verify request and engine set-up
+// pays it.
+func BenchmarkNew(b *testing.B) {
+	p := protocols.MustLoad("MSI_nonblocking_cache")
+	vn, n := PerMessageVN(p)
+	cfg := Config{Protocol: p, Caches: 3, Dirs: 2, Addrs: 2, VN: vn, NumVNs: n}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sys.Canonicalize(st)
+		if _, err := New(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,57 +1,170 @@
 package machine
 
 import (
+	"bytes"
+	"fmt"
+	"math/bits"
+
 	"minvn/internal/icn"
 )
 
 // Canonicalization is the hottest operation in a symmetry-reduced
-// search: every generated successor is re-encoded once per non-trivial
+// search: every generated successor is scored under each non-identity
 // cache permutation (5 for the paper's 3-cache config) to find the
-// lexicographically smallest relabeling. The naive form — decode, then
-// clone+encode per permutation — allocates a dozen objects per
-// successor and dominated the checker's allocation profile. This file
-// keeps a pooled scratch (two reusable decoded states and two byte
-// buffers) per concurrent caller, so a Canonicalize call allocates at
-// most once: the final copy of a winning non-identity encoding.
+// lexicographically smallest relabeling. Canonicalize works on the
+// encoded bytes directly. For each permutation it streams the
+// candidate encoding section by section straight from the input —
+// cache rows in permuted order, the L2 and directory entries, the
+// global queues, then each endpoint's local block — relabeling endpoint
+// ids through tables built once in New. After each section it compares
+// what it has produced with the same byte range of the best encoding
+// so far: a larger section abandons the candidate, and once a section
+// is smaller the rest is produced without comparing. Equal-length
+// encodings compare like their concatenated sections, so the result is
+// exactly the minimum of encode(applyPerm(st, p)) over all p, the
+// reference the tests pin it against.
+
+// permTable relabels an encoded state under one cache permutation.
+type permTable struct {
+	// src[j] is the cache whose row and local block land at position j.
+	src [8]uint8
+	// ep maps an endpoint id and ref an id+1 reference (0 = none); ids
+	// at or beyond the cache count are fixed.
+	ep, ref [256]uint8
+	// mask maps the cache bits of a sharer bitmask (entries up to
+	// 1<<caches - 1 are filled); the bits past the caches stay put.
+	mask [256]uint8
+}
+
+// newPermTables builds the relabeling tables for perms[1:] (perms[0]
+// is the identity). Ids past the caches map to themselves, and each
+// mask entry extends the entry without its lowest set bit, so a table
+// costs O(256).
+func newPermTables(perms [][]int) []permTable {
+	if len(perms) <= 1 {
+		return nil
+	}
+	cacheBits := uint8(1<<len(perms[0]) - 1)
+	tabs := make([]permTable, len(perms)-1)
+	for i, perm := range perms[1:] {
+		t := &tabs[i]
+		t.ep, t.ref = identity, identity
+		for c, to := range perm {
+			t.src[to] = uint8(c)
+			t.ep[c] = uint8(to)
+			t.ref[c+1] = uint8(to) + 1
+		}
+		for m := uint8(1); m != 0 && m <= cacheBits; m++ {
+			t.mask[m] = t.mask[m&(m-1)] | 1<<t.ep[bits.TrailingZeros8(m)]
+		}
+	}
+	return tabs
+}
+
+// identity maps every byte to itself.
+var identity = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = uint8(i)
+	}
+	return t
+}()
 
 // canonScratch is the per-call reusable working set. It never escapes
 // Canonicalize; the pool makes it safe under the parallel engines'
 // concurrent Canonicalize calls.
 type canonScratch struct {
-	src  *state // decoded input
-	tmp  *state // relabeled candidate, rebuilt per permutation
+	offs []int  // queue offsets of the input's network section
 	buf  []byte // candidate encoding
 	best []byte // best non-identity encoding so far
 }
 
 // Canonicalize implements symmetry reduction: among all relabelings of
 // the (identical) caches, pick the lexicographically smallest
-// encoding. Directories are distinguished by their address ranges and
-// are not permuted. Equivalent to encoding applyPerm for every
-// permutation (the reference the tests compare against) but
-// allocation-free apart from the final copy.
+// encoding. Directories and L2 homes are distinguished by their address
+// ranges and are not permuted. It panics on malformed input as decode
+// does. It allocates only when a non-identity permutation wins: the
+// returned copy.
 func (s *System) Canonicalize(raw []byte) []byte {
 	if len(s.perms) <= 1 {
 		return raw
 	}
-	sc := s.canonPool.Get().(*canonScratch)
-	if sc.src == nil {
-		sc.src = s.newState()
-		sc.tmp = s.newState()
+	pre := s.prefixLen()
+	if len(raw) < pre {
+		panic(fmt.Sprintf("machine: state truncated: %d bytes for %d controllers",
+			len(raw), s.cfg.Caches+1))
 	}
-	s.decodeInto(sc.src, raw)
+	sc := s.canonPool.Get().(*canonScratch)
+	offs, rest, err := icn.QueueOffsets(s.net, raw[pre:], sc.offs[:0])
+	sc.offs = offs
+	if err != nil {
+		panic(fmt.Sprintf("machine: corrupt network state: %v", err))
+	}
+	if len(rest) != 0 {
+		panic(fmt.Sprintf("machine: %d trailing bytes after network state", len(rest)))
+	}
+	net := raw[pre:]
+	caches, row, vns := s.cfg.Caches, 4*s.cfg.Addrs, s.cfg.NumVNs
+	cacheEnd := caches * row
+	cacheBits := uint8(1<<caches - 1)
+	l2End := pre - row // the directory entries close the prefix
+	locals := 2 * vns  // index in offs of endpoint 0's first local queue
+
 	best := raw
 	changed := false
-	for _, perm := range s.perms[1:] { // perms[0] is identity
-		s.permuteInto(sc.tmp, sc.src, perm)
-		sc.buf = s.appendEncode(sc.buf[:0], sc.tmp)
-		if string(sc.buf) < string(best) {
-			// The candidate buffer becomes the best; swap so the next
-			// candidate doesn't overwrite it.
-			sc.best, sc.buf = sc.buf, sc.best
-			best = sc.best
-			changed = true
+perms:
+	for ti := range s.relabel {
+		t := &s.relabel[ti]
+		if cap(sc.buf) < len(raw) {
+			sc.buf = make([]byte, 0, len(raw))
 		}
+		buf := sc.buf[:0]
+		order := 0 // see larger
+		for j := 0; j < caches; j++ {
+			from := len(buf)
+			r := raw[int(t.src[j])*row:][:row]
+			for a := 0; a < row; a += 4 {
+				buf = append(buf, r[a], r[a+1], t.ref[r[a+2]], r[a+3])
+			}
+			if larger(&order, buf[from:], best[from:len(buf)]) {
+				continue perms
+			}
+		}
+		for a := cacheEnd; a < l2End; a += 5 {
+			sharers := t.mask[raw[a+2]&cacheBits] | raw[a+2]&^cacheBits
+			buf = append(buf, raw[a], t.ref[raw[a+1]], sharers, raw[a+3], raw[a+4])
+		}
+		for a := l2End; a < pre; a += 4 {
+			sharers := t.mask[raw[a+2]&cacheBits] | raw[a+2]&^cacheBits
+			buf = append(buf, raw[a], t.ref[raw[a+1]], sharers, raw[a+3])
+		}
+		if larger(&order, buf[cacheEnd:], best[cacheEnd:len(buf)]) {
+			continue perms
+		}
+		from := len(buf)
+		buf = icn.AppendRelabeled(buf, net[:offs[locals]], &t.ep)
+		if larger(&order, buf[from:], best[from:len(buf)]) {
+			continue perms
+		}
+		for e := 0; e < s.endpoints; e++ {
+			src := e
+			if e < caches {
+				src = int(t.src[e])
+			}
+			q := locals + src*vns
+			from := len(buf)
+			buf = icn.AppendRelabeled(buf, net[offs[q]:offs[q+vns]], &t.ep)
+			if larger(&order, buf[from:], best[from:len(buf)]) {
+				continue perms
+			}
+		}
+		if order == 0 {
+			continue
+		}
+		// The candidate becomes the best; the old best buffer takes
+		// the next candidate.
+		sc.buf, sc.best = sc.best, buf
+		best = buf
+		changed = true
 	}
 	if changed {
 		// best aliases pooled scratch; copy before releasing it.
@@ -61,94 +174,14 @@ func (s *System) Canonicalize(raw []byte) []byte {
 	return best
 }
 
-// decodeInto is decode into a reusable scratch state (same panics on
-// corrupt input; see decode).
-func (s *System) decodeInto(st *state, raw []byte) {
-	i := 0
-	for c := 0; c < s.cfg.Caches; c++ {
-		for a := 0; a < s.cfg.Addrs; a++ {
-			st.cache[c][a] = cacheEntry{raw[i], bInt8(raw[i+1]), raw[i+2], bInt8(raw[i+3])}
-			i += 4
-		}
+// larger compares the candidate's newest section with the same byte
+// range of best while the two are still tied, and reports whether the
+// candidate is larger and must be abandoned. *order is the candidate's
+// standing so far: 0 while tied, -1 once smaller, after which nothing
+// is compared.
+func larger(order *int, section, bestSection []byte) bool {
+	if *order == 0 {
+		*order = bytes.Compare(section, bestSection)
 	}
-	if s.cfg.L2s > 0 {
-		for a := 0; a < s.cfg.Addrs; a++ {
-			st.l2[a] = l2Entry{raw[i], raw[i+1], raw[i+2], bInt8(raw[i+3]), bInt8(raw[i+4])}
-			i += 5
-		}
-	}
-	for a := 0; a < s.cfg.Addrs; a++ {
-		st.dir[a] = dirEntry{raw[i], raw[i+1], raw[i+2], bInt8(raw[i+3])}
-		i += 4
-	}
-	rest, err := icn.DecodeInto(s.net, st.net, raw[i:])
-	if err != nil {
-		panic("machine: corrupt network state: " + err.Error())
-	}
-	if len(rest) != 0 {
-		panic("machine: trailing bytes after network state")
-	}
-}
-
-// permuteInto rewrites dst to be st relabeled under perm, reusing
-// dst's storage. dst and st must not share storage. Semantics match
-// applyPerm exactly.
-func (s *System) permuteInto(dst, st *state, perm []int) {
-	for c := range st.cache {
-		copy(dst.cache[perm[c]], st.cache[c])
-	}
-	for c := range dst.cache {
-		for a := range dst.cache[c] {
-			e := &dst.cache[c][a]
-			if e.saved != 0 {
-				e.saved = permuteEndpoint(perm, e.saved-1) + 1
-			}
-		}
-	}
-	copy(dst.l2, st.l2)
-	for a := range dst.l2 {
-		e := &dst.l2[a]
-		if e.owner != 0 {
-			e.owner = permuteEndpoint(perm, e.owner-1) + 1
-		}
-		e.sharers = permuteMask(perm, e.sharers)
-	}
-	copy(dst.dir, st.dir)
-	for a := range dst.dir {
-		e := &dst.dir[a]
-		if e.owner != 0 {
-			e.owner = permuteEndpoint(perm, e.owner-1) + 1
-		}
-		e.sharers = permuteMask(perm, e.sharers)
-	}
-	permMsg := func(m icn.Message) icn.Message {
-		m.Src = permuteEndpoint(perm, m.Src)
-		m.Req = permuteEndpoint(perm, m.Req)
-		m.Dst = permuteEndpoint(perm, m.Dst)
-		return m
-	}
-	for vn := range st.net.Global {
-		for b := 0; b < 2; b++ {
-			q := append(dst.net.Global[vn][b][:0], st.net.Global[vn][b]...)
-			for i := range q {
-				q[i] = permMsg(q[i])
-			}
-			dst.net.Global[vn][b] = q
-		}
-	}
-	// Local FIFOs move with their endpoints: cache c's queues become
-	// cache perm[c]'s queues; directories are fixed points.
-	for e := range st.net.Local {
-		target := e
-		if e < len(perm) {
-			target = perm[e]
-		}
-		for vn := range st.net.Local[e] {
-			q := append(dst.net.Local[target][vn][:0], st.net.Local[e][vn]...)
-			for i := range q {
-				q[i] = permMsg(q[i])
-			}
-			dst.net.Local[target][vn] = q
-		}
-	}
+	return *order > 0
 }

@@ -10,6 +10,7 @@ package machine
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"minvn/internal/icn"
@@ -83,9 +84,13 @@ type System struct {
 
 	endpoints int
 	net       icn.Config
-	perms     [][]int // cache permutations for symmetry reduction
-	// canonPool recycles the canonicalizer's scratch states and
-	// buffers across (possibly concurrent) Canonicalize calls.
+	perms     [][]int     // cache permutations for symmetry reduction
+	relabel   []permTable // relabeling tables for perms[1:]
+	// SuccessorsNamed's rule labels: "deliver/vn<N>" by VN and
+	// "process/<message>" by message index.
+	deliverLabels, processLabels []string
+	// canonPool recycles the canonicalizer's scratch buffers across
+	// (possibly concurrent) Canonicalize calls.
 	canonPool sync.Pool
 }
 
@@ -187,7 +192,14 @@ func New(cfg Config) (*System, error) {
 
 	if !cfg.NoSymmetry {
 		s.perms = permutations(cfg.Caches)
+		s.relabel = newPermTables(s.perms)
 	}
+	vns := make([]string, cfg.NumVNs)
+	for vn := range vns {
+		vns[vn] = strconv.Itoa(vn)
+	}
+	s.deliverLabels = labelTable("deliver/vn", vns)
+	s.processLabels = labelTable("process/", s.msgNames)
 	s.canonPool.New = func() any { return &canonScratch{} }
 	return s, nil
 }
@@ -300,14 +312,7 @@ func bInt8(b byte) int8 { return int8(b - 128) }
 // encode produces the deterministic byte form used for deduplication
 // and trace storage.
 func (s *System) encode(st *state) []byte {
-	size := len(st.cache)*s.cfg.Addrs*4 + s.cfg.Addrs*4 + len(st.l2)*5
-	return s.appendEncode(make([]byte, 0, size+64), st)
-}
-
-// appendEncode appends st's encoding to out, reusing out's capacity —
-// the allocation-free form the canonicalizer and the parallel engines
-// lean on when scoring many candidate encodings per successor.
-func (s *System) appendEncode(out []byte, st *state) []byte {
+	out := make([]byte, 0, s.prefixLen()+64)
 	for _, row := range st.cache {
 		for _, e := range row {
 			out = append(out, e.state, int8b(e.acks), e.saved, int8b(e.savedAcks))
@@ -334,11 +339,7 @@ func (s *System) decode(raw []byte) *state {
 		dir:   make([]dirEntry, s.cfg.Addrs),
 	}
 	i := 0
-	minSize := (s.cfg.Caches + 1) * s.cfg.Addrs * 4
-	if s.cfg.L2s > 0 {
-		minSize += s.cfg.Addrs * 5
-	}
-	if len(raw) < minSize {
+	if len(raw) < s.prefixLen() {
 		panic(fmt.Sprintf("machine: state truncated: %d bytes for %d controllers",
 			len(raw), s.cfg.Caches+1))
 	}
@@ -369,6 +370,16 @@ func (s *System) decode(raw []byte) *state {
 	}
 	st.net = net
 	return st
+}
+
+// prefixLen is the size of the controller sections (caches, L2 homes,
+// directories) that precede the network state in an encoding.
+func (s *System) prefixLen() int {
+	n := (s.cfg.Caches + 1) * s.cfg.Addrs * 4
+	if s.cfg.L2s > 0 {
+		n += s.cfg.Addrs * 5
+	}
+	return n
 }
 
 // permutations returns all permutations of 0..n-1.
@@ -415,9 +426,10 @@ func permuteMask(perm []int, mask uint8) uint8 {
 	return out
 }
 
-// Canonicalize lives in canon.go (pooled, allocation-free scratch);
-// applyPerm below is its allocating reference implementation, kept for
-// the equivalence tests that pin the two against each other.
+// Canonicalize lives in canon.go and relabels encoded bytes directly;
+// applyPerm below relabels a decoded state. It is the reference
+// semantics of a cache permutation, kept for the equivalence tests that
+// pin Canonicalize to the minimum of encode(applyPerm(st, p)).
 
 func (s *System) applyPerm(st *state, perm []int) *state {
 	out := st.clone()

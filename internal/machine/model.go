@@ -3,6 +3,8 @@ package machine
 import (
 	"fmt"
 	"strings"
+
+	"minvn/internal/protocol"
 )
 
 // The System implements mc.Model over its encoded states.
@@ -63,19 +65,50 @@ func (s *System) SuccessorsNamed(raw []byte) ([][]byte, []string, error) {
 	return out, labels, nil
 }
 
-// ruleLabel names a rule for telemetry attribution.
+// ruleLabel names a rule for telemetry attribution, from label tables
+// built ahead of time so that labelling a successor does not allocate.
 func (s *System) ruleLabel(st *state, r Rule) string {
 	switch r.Kind {
 	case RuleCore:
+		if l, ok := coreLabels[r.Core]; ok {
+			return l
+		}
 		return "core/" + string(r.Core)
 	case RuleDeliver:
-		return fmt.Sprintf("deliver/vn%d", r.VN)
+		return s.deliverLabels[r.VN]
 	default:
 		if m, ok := st.net.Head(r.Endpoint, r.PVN); ok {
-			return "process/" + s.msgNames[m.Name]
+			return s.processLabels[m.Name]
 		}
 		return "process/?"
 	}
+}
+
+// coreLabels holds the labels of the protocol package's core events.
+var coreLabels = func() map[protocol.CoreEvent]string {
+	m := make(map[protocol.CoreEvent]string, len(protocol.CoreEvents))
+	for _, ev := range protocol.CoreEvents {
+		m[ev] = "core/" + string(ev)
+	}
+	return m
+}()
+
+// labelTable returns prefix+name for every name, carved out of one
+// string so that a system's label table costs two allocations.
+func labelTable(prefix string, names []string) []string {
+	var b strings.Builder
+	b.Grow(len(names) * (len(prefix) + 8))
+	for _, name := range names {
+		b.WriteString(prefix)
+		b.WriteString(name)
+	}
+	all := b.String()
+	out := make([]string, len(names))
+	for i, name := range names {
+		n := len(prefix) + len(name)
+		out[i], all = all[:n], all[n:]
+	}
+	return out
 }
 
 // EnabledRules lists the enabled rules of a state, for the scenario
